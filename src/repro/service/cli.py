@@ -12,6 +12,7 @@ outcome to the shared exit codes of :mod:`repro.core.status`.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import threading
@@ -29,6 +30,17 @@ from repro.core.status import (
 )
 
 __all__ = ["serve_main", "submit_main"]
+
+
+def write_ready_file(path: str, url: str) -> None:
+    """Publish the daemon's URL atomically.
+
+    Pollers wait for the file to exist and read it at once, so it must
+    never be visible half-written.
+    """
+    tmp = path + ".tmp"
+    Path(tmp).write_text(url + "\n")
+    os.replace(tmp, path)
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -225,7 +237,7 @@ def serve_main(argv=None) -> int:
     print("repro-anonymize service listening on {}".format(service.base_url))
     sys.stdout.flush()
     if args.ready_file:
-        Path(args.ready_file).write_text(service.base_url + "\n")
+        write_ready_file(args.ready_file, service.base_url)
 
     def _drain(signum, frame):
         # serve_forever() runs in this (main) thread, so the actual

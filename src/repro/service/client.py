@@ -347,6 +347,10 @@ class ServiceClient:
                 except self._STALE_ERRORS:
                     if may_replay:
                         raise _StaleConnectionError()
+                    if connection.sock is None:
+                        # Reset while connecting (a daemon dying with
+                        # the SYN in its backlog): no response to read.
+                        raise
                     # The daemon may have rejected the body mid-stream
                     # (413) and closed its read side; its early response
                     # is usually still in our receive buffer — read it

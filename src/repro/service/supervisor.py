@@ -384,9 +384,9 @@ class _Supervisor:
             flush=True,
         )
         if self.args.ready_file:
-            from pathlib import Path
+            from repro.service.cli import write_ready_file
 
-            Path(self.args.ready_file).write_text(self.base_url + "\n")
+            write_ready_file(self.args.ready_file, self.base_url)
 
         if self.watchdog_timeout > 0:
             threading.Thread(

@@ -8,9 +8,11 @@ pipeline over the same corpus.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -29,6 +31,8 @@ from repro.service.client import (
 )
 from repro.service.server import AnonymizationService, BoundedExecutor, QueueFullError
 from repro.service.sessions import SessionManager, SessionOptionsError
+from repro.service.sharding import ShardInfo
+from repro.service.supervisor import _bind_tcp
 
 SALT = "service-test-secret"
 
@@ -591,6 +595,19 @@ class TestKeepAlive:
         finally:
             client.close()
 
+    def test_reset_while_connecting_propagates(self, service, monkeypatch):
+        # A daemon dying with our SYN in its backlog resets the connect
+        # itself: the caller and the retry policy must see that OSError,
+        # not an AttributeError from reading a response off no socket.
+        def reset(connection):
+            raise ConnectionResetError("reset while connecting")
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", reset)
+        client = ServiceClient(service.base_url, timeout=60)
+        with pytest.raises(ConnectionResetError):
+            client.healthz()
+        assert not client._pool()
+
     def test_close_empties_the_pool(self, service):
         client = ServiceClient(service.base_url, timeout=60)
         client.healthz()
@@ -611,3 +628,93 @@ class TestKeepAlive:
             assert next(iter(client._pool().values())) is connection
         finally:
             client.close()
+
+
+class TestNagleDisabled:
+    """Every accepted TCP connection sets ``TCP_NODELAY``.
+
+    A response is two writes (headers, then body); with Nagle on, the
+    body waits for the client's delayed ACK on every keep-alive request.
+    The Unix-socket round trip above guards the ``AF_UNIX`` exemption.
+    """
+
+    @staticmethod
+    def _assert_nodelay_while_parked(svc, servers) -> None:
+        connections = []
+        try:
+            for httpd in servers:
+                host, port = httpd.server_address[:2]
+                connection = http.client.HTTPConnection(host, port, timeout=30)
+                connections.append(connection)
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            for httpd in servers:
+                with httpd._handlers_lock:
+                    handlers = list(httpd._handlers)
+                assert handlers
+                for handler in handlers:
+                    assert handler.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    ) != 0
+        finally:
+            for connection in connections:
+                connection.close()
+            svc.shutdown()
+
+    def test_threaded_daemon(self):
+        svc = AnonymizationService(port=0, workers=1, queue_limit=4)
+        svc.start_background()
+        self._assert_nodelay_while_parked(svc, [svc.httpd])
+
+    def test_shard_shared_and_direct_listeners(self):
+        shared = _bind_tcp("127.0.0.1", 0)
+        direct = _bind_tcp("127.0.0.1", 0)
+        svc = AnonymizationService(
+            workers=1,
+            queue_limit=4,
+            shard=ShardInfo(
+                0, 1, ("http://127.0.0.1:{}".format(direct.getsockname()[1]),)
+            ),
+            listen_socket=shared,
+            direct_socket=direct,
+        )
+        svc.start_background()
+        self._assert_nodelay_while_parked(svc, [svc.httpd, svc.direct_httpd])
+
+
+def _raw_exchange(address, request: bytes) -> bytes:
+    """Send raw request bytes; read until the server closes."""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+@pytest.mark.parametrize("length", ["abc", "1e3", "-5"])
+def test_malformed_content_length_is_400_and_closes(service, client, length):
+    session = client.create_session(SALT)
+    # The body is itself a request: if the server trusted a negative
+    # length it would parse these bytes as the next keep-alive request.
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    try:
+        for path in ("/sessions", "/sessions/{}/anonymize".format(session["id"])):
+            reply = _raw_exchange(
+                service.address,
+                "POST {} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n"
+                .format(path, length)
+                .encode("ascii")
+                + smuggled,
+            )
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            assert b"\r\nConnection: close" in head
+            assert reply.count(b"HTTP/1.1 ") == 1
+            assert "Content-Length" in json.loads(body)["error"]
+    finally:
+        client.delete_session(session["id"])
