@@ -80,7 +80,8 @@ def _literal_overlap(a: str, b: str) -> bool:
     position.  Offsets 1..len(a)-1 cover occurrences of *b* beginning
     strictly inside *a*'s span — *b* is either contained in *a* or hangs
     off its end, in which case a prefix of *b* must equal a suffix of
-    *a*.
+    *a*.  The compiler uses the indexed :func:`_overlap_closure`; this
+    pairwise form is its reference.
     """
     if a == b:
         return False
@@ -89,6 +90,39 @@ def _literal_overlap(a: str, b: str) -> bool:
         if b[:take] == a[offset : offset + take]:
             return True
     return False
+
+
+def _overlap_closure(by_text: Dict[str, int], ordered: Sequence[str]) -> List[int]:
+    """Each literal's mask ORed with the masks of every literal that
+    :func:`_literal_overlap` relates to it, in *ordered* order.
+
+    Indexed rather than all-pairs: with every literal prefix in one dict,
+    the literals that begin with a suffix of ``A`` are one lookup per
+    offset, and the literals contained in ``A`` short of its end are found
+    by extending a piece only while it is still some literal's prefix.
+    A literal's own mask is always in its closure, so matching it against
+    itself (which ``_literal_overlap`` excludes) changes nothing.
+    """
+    prefix_masks: Dict[str, int] = {}
+    for text, bits in by_text.items():
+        for end in range(1, len(text) + 1):
+            prefix = text[:end]
+            prefix_masks[prefix] = prefix_masks.get(prefix, 0) | bits
+    closed: List[int] = []
+    for text in ordered:
+        mask = by_text[text]
+        for offset in range(len(text)):
+            # Literals starting with text[offset:]: they hang off its end
+            # or equal that suffix.
+            mask |= prefix_masks.get(text[offset:], 0)
+            # Literals contained in text that end before its last char.
+            for end in range(offset + 1, len(text)):
+                piece = text[offset:end]
+                if piece not in prefix_masks:
+                    break
+                mask |= by_text.get(piece, 0)
+        closed.append(mask)
+    return closed
 
 
 class CompiledDispatch:
@@ -163,14 +197,7 @@ class CompiledDispatch:
         # Longest-first so the engine prefers the most specific
         # alternative at a shared start (reduces closure over-approximation).
         ordered = sorted(by_text, key=len, reverse=True)
-        closed_masks = [0]
-        for text in ordered:
-            mask = by_text[text]
-            for other in ordered:
-                if _literal_overlap(text, other):
-                    mask |= by_text[other]
-            closed_masks.append(mask)
-        self._group_masks = closed_masks
+        self._group_masks = [0] + _overlap_closure(by_text, ordered)
         self._literal_re = re.compile(
             "|".join("(" + re.escape(text) + ")" for text in ordered)
         )

@@ -18,27 +18,32 @@ The pipeline:
    the vocabulary, pre-maps ASNs/communities, and freezes the trie (any
    address the scan missed maps through a pure keyed hash instead of the
    RNG stream, so even a scanner gap cannot introduce order dependence).
-2. **Snapshot** — the frozen shared maps are captured in a
-   :class:`FrozenSnapshot` and made visible to every worker **once**, via
-   a *snapshot transport*:
+2. **Publish** — the frozen state is made visible to every worker
+   **once**, via a *snapshot transport*:
 
-   - ``fork`` (the default where available) — the snapshot is published
-     in a module global and worker processes are forked, inheriting it
-     through copy-on-write pages: zero serialization, zero copies.
-   - ``shm`` — the snapshot is pickled **once** into a
-     :mod:`multiprocessing.shared_memory` segment; each worker attaches
-     to the segment by name and deserializes from the shared buffer (one
-     parent-side pickle total, instead of one per worker).
+   - ``fork`` (the default where available) — the parent's frozen
+     :class:`Anonymizer` itself is published in a module global and the
+     worker processes are forked, inheriting it through copy-on-write
+     pages: nothing is captured, serialized or rebuilt.
+   - ``shm`` — the frozen maps are captured in a :class:`FrozenSnapshot`
+     and pickled **once** into a :mod:`multiprocessing.shared_memory`
+     segment; each worker attaches to the segment by name and
+     deserializes from the shared buffer (one parent-side pickle total,
+     instead of one per worker).
    - ``pickle`` — the legacy path: the snapshot travels in the pool
      initializer's arguments.
 
-3. **Rewrite** — each worker builds an :class:`Anonymizer` *around* the
-   snapshot's dicts (``restore(share=True)``: rules and compiled regexes
-   are rebuilt in-process, the frozen dicts are adopted, not copied) and
-   rewrites whole files.  Files are batched into **chunked tasks** so
-   submit/result overhead is amortized over many small configs; failure
-   isolation stays per-file (a chunk catches each file's exceptions
-   individually).
+3. **Rewrite** — a ``fork`` worker adopts the inherited anonymizer as it
+   is: its rules are already compiled and its address, dispatch and word
+   caches already warm from the freeze.  Only its fault plan starts over,
+   so fault injection counts per worker process.  An ``shm``/``pickle``
+   worker builds an :class:`Anonymizer` *around* the snapshot's dicts
+   (``restore(share=True)``: rules and compiled regexes are rebuilt
+   in-process, the frozen dicts are adopted, not copied).  Either way a
+   worker rewrites whole files.  Files are batched into **chunked tasks**
+   so submit/result overhead is amortized over many small configs;
+   failure isolation stays per-file (a chunk catches each file's
+   exceptions individually).
 4. **Merge** — per-file :class:`AnonymizationReport`\\ s and hash-cache
    deltas are folded into the parent in sorted-file-name order — the same
    order the sequential pipeline uses — so the combined report equals the
@@ -57,6 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AnonymizerConfig
 from repro.core.engine import AnonymizedNetwork, Anonymizer
+from repro.core.faults import build_fault_plan
 from repro.core.report import AnonymizationReport
 
 __all__ = [
@@ -73,7 +79,8 @@ SNAPSHOT_TRANSPORTS = ("auto", "fork", "shm", "pickle")
 
 @dataclass
 class FrozenSnapshot:
-    """Read-only mapping state shipped to every worker process.
+    """Read-only mapping state shipped to ``shm``/``pickle`` workers and
+    to the in-process retry tail (``fork`` workers need none).
 
     Everything here is either a pure function of the owner secret
     (reconstructed from ``config.salt`` in the worker) or a plain dict of
@@ -121,10 +128,9 @@ class FrozenSnapshot:
         ``share=False`` (the default, for arbitrary callers) copies every
         dict so the snapshot stays pristine.  ``share=True`` adopts the
         snapshot's dicts directly — the right choice whenever the
-        snapshot exists solely to back one restore: a forked worker
-        (adopting touches copy-on-write pages, never the parent), a
-        worker that just unpickled its own private snapshot, or the
-        in-process retry tail (one local anonymizer for the whole tail).
+        snapshot exists solely to back one restore: a worker that just
+        unpickled its own private snapshot, or the in-process retry tail
+        (one local anonymizer for the whole tail).
         Restores sharing one snapshot see each other's cache *additions*;
         every addition is a pure function of the salt, so outputs are
         unaffected — only ``share=False`` guarantees the snapshot's dicts
@@ -139,22 +145,14 @@ class FrozenSnapshot:
 
             config = replace(config, plugins=self.active_plugins)
         anonymizer = Anonymizer(config)
-        if share:
-            anonymizer.ip_map._flips = self.ip_flips
-            anonymizer.hasher._cache = self.hash_cache
-            anonymizer.token_anon._word_cache = self.word_cache
-            anonymizer.asn_map._seen = self.asn_cache
-            anonymizer.community._cache = self.community_cache
-            if self.ip6_flips is not None and anonymizer.ip6_map is not None:
-                anonymizer.ip6_map._flips = self.ip6_flips
-        else:
-            anonymizer.ip_map._flips = dict(self.ip_flips)
-            anonymizer.hasher._cache = dict(self.hash_cache)
-            anonymizer.token_anon._word_cache = dict(self.word_cache)
-            anonymizer.asn_map._seen = dict(self.asn_cache)
-            anonymizer.community._cache = dict(self.community_cache)
-            if self.ip6_flips is not None and anonymizer.ip6_map is not None:
-                anonymizer.ip6_map._flips = dict(self.ip6_flips)
+        adopt = (lambda d: d) if share else dict
+        anonymizer.ip_map.install_flips(adopt(self.ip_flips))
+        anonymizer.hasher._cache = adopt(self.hash_cache)
+        anonymizer.token_anon._word_cache = adopt(self.word_cache)
+        anonymizer.asn_map._seen = adopt(self.asn_cache)
+        anonymizer.community._cache = adopt(self.community_cache)
+        if self.ip6_flips is not None and anonymizer.ip6_map is not None:
+            anonymizer.ip6_map.install_flips(adopt(self.ip6_flips))
         if self.ip_frozen:
             anonymizer.ip_map.freeze()
         if self.ip6_frozen and anonymizer.ip6_map is not None:
@@ -187,25 +185,31 @@ _WORKER_ANONYMIZER: Optional[Anonymizer] = None
 #: the parent when a task falls back to in-process rewriting.
 _IN_WORKER = False
 
-#: The snapshot published for fork-transport workers; children inherit it
-#: through copy-on-write, so it is never serialized at all.
-_FORK_SNAPSHOT: Optional[FrozenSnapshot] = None
+#: The parent's frozen anonymizer, published for fork-transport workers;
+#: children inherit it through copy-on-write and adopt it as is.
+_FORK_ANONYMIZER: Optional[Anonymizer] = None
 
 
-def _adopt_snapshot(snapshot: FrozenSnapshot) -> None:
+def _adopt(anonymizer: Anonymizer) -> None:
     global _WORKER_ANONYMIZER, _IN_WORKER
-    _WORKER_ANONYMIZER = snapshot.restore(share=True)
+    _WORKER_ANONYMIZER = anonymizer
     _IN_WORKER = True
 
 
 def _init_worker(snapshot: FrozenSnapshot) -> None:
     """Legacy ``pickle`` transport: the snapshot rode in the initargs."""
-    _adopt_snapshot(snapshot)
+    _adopt(snapshot.restore(share=True))
 
 
 def _init_worker_fork() -> None:
-    """``fork`` transport: the snapshot was inherited copy-on-write."""
-    _adopt_snapshot(_FORK_SNAPSHOT)
+    """``fork`` transport: adopt the inherited parent anonymizer as is.
+
+    Only the fault plan is rebuilt, so a worker starts with one on which
+    no rewrite has run, exactly as a restored worker would.
+    """
+    anonymizer = _FORK_ANONYMIZER
+    anonymizer.fault_plan = build_fault_plan(anonymizer.config)
+    _adopt(anonymizer)
 
 
 def _init_worker_shm(segment_name: str, payload_size: int) -> None:
@@ -218,7 +222,7 @@ def _init_worker_shm(segment_name: str, payload_size: int) -> None:
     finally:
         segment.close()
         _untrack_shm(segment_name)
-    _adopt_snapshot(snapshot)
+    _adopt(snapshot.restore(share=True))
 
 
 def _untrack_shm(name: str) -> None:
@@ -238,29 +242,37 @@ def _untrack_shm(name: str) -> None:
 
 
 class _SnapshotPools:
-    """Process-pool factory whose workers attach to one shared snapshot.
+    """Process-pool factory whose workers attach to one frozen state.
 
-    Publishes the snapshot once according to the transport (module global
-    for ``fork``, a single pickle into shared memory for ``shm``, nothing
-    for ``pickle``), builds any number of pools against it, and tears the
-    shared resources down on exit.
+    Publishes the state once according to the transport (the anonymizer
+    itself in a module global for ``fork``, a single snapshot pickle into
+    shared memory for ``shm``, nothing for ``pickle``), builds any number
+    of pools against it, and tears the shared resources down on exit.
     """
 
-    def __init__(self, snapshot: FrozenSnapshot, transport: str):
+    def __init__(self, anonymizer: Anonymizer, transport: str):
         self.transport = transport
-        self._snapshot = snapshot
+        self._anonymizer = anonymizer
+        self._snapshot: Optional[FrozenSnapshot] = None
         self._shm = None
         self._payload_size = 0
 
+    @property
+    def snapshot(self) -> FrozenSnapshot:
+        """The captured frozen state (``fork`` captures only on demand)."""
+        if self._snapshot is None:
+            self._snapshot = FrozenSnapshot.capture(self._anonymizer)
+        return self._snapshot
+
     def __enter__(self) -> "_SnapshotPools":
         if self.transport == "fork":
-            global _FORK_SNAPSHOT
-            _FORK_SNAPSHOT = self._snapshot
+            global _FORK_ANONYMIZER
+            _FORK_ANONYMIZER = self._anonymizer
         elif self.transport == "shm":
             from multiprocessing import shared_memory
 
             payload = pickle.dumps(
-                self._snapshot, protocol=pickle.HIGHEST_PROTOCOL
+                self.snapshot, protocol=pickle.HIGHEST_PROTOCOL
             )
             self._payload_size = len(payload)
             self._shm = shared_memory.SharedMemory(
@@ -289,13 +301,13 @@ class _SnapshotPools:
         return ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_init_worker,
-            initargs=(self._snapshot,),
+            initargs=(self.snapshot,),
         )
 
     def __exit__(self, *exc_info) -> bool:
         if self.transport == "fork":
-            global _FORK_SNAPSHOT
-            _FORK_SNAPSHOT = None
+            global _FORK_ANONYMIZER
+            _FORK_ANONYMIZER = None
         if self._shm is not None:
             self._shm.close()
             try:
@@ -436,24 +448,29 @@ def anonymize_files(
     if chunk_files is None:
         chunk_files = config.chunk_files
 
-    snapshot = FrozenSnapshot.capture(anonymizer)
     results: Dict[str, Tuple[str, AnonymizationReport, Dict[str, str]]] = {}
     quarantined: Dict[str, str] = {}
     unfinished: List[str] = []
     chunks = _chunk_names(names, jobs, chunk_files)
 
-    with _SnapshotPools(snapshot, transport) as pools:
+    with _SnapshotPools(anonymizer, transport) as pools:
         with pools.make_pool(min(jobs, len(chunks))) as pool:
-            futures = [
-                (
-                    chunk,
-                    pool.submit(
+            futures = []
+            for chunk in chunks:
+                try:
+                    future = pool.submit(
                         _rewrite_chunk, [(name, configs[name]) for name in chunk]
-                    ),
-                )
-                for chunk in chunks
-            ]
+                    )
+                except BrokenProcessPool:
+                    # A worker died before this chunk was submitted (its
+                    # first task can finish that fast); the per-file retry
+                    # below settles the chunk like a broken future's.
+                    future = None
+                futures.append((chunk, future))
             for chunk, future in futures:
+                if future is None:
+                    unfinished.extend(chunk)
+                    continue
                 try:
                     outcomes = future.result()
                 except BrokenProcessPool:
@@ -477,8 +494,8 @@ def anonymize_files(
             # Respawn the pool once and retry with a single file in
             # flight at a time: if the pool breaks again, the in-flight
             # file *is* the poisoned one.  Files after it finish
-            # in-process (the snapshot restore is exactly what a worker
-            # would have run).
+            # in-process (a snapshot restore rewrites exactly as a worker
+            # would have).
             in_process_from = len(unfinished)
             with pools.make_pool(1) as retry_pool:
                 for index, name in enumerate(unfinished):
@@ -500,7 +517,7 @@ def anonymize_files(
                 # tail, adopting the snapshot's dicts instead of copying
                 # them per file (a pool worker reuses its anonymizer
                 # across files the same way).
-                local = snapshot.restore(share=True)
+                local = pools.snapshot.restore(share=True)
                 for name in remaining:
                     try:
                         _, out, file_report, hashed_delta = _rewrite_with(

@@ -155,14 +155,12 @@ def import_state(anonymizer: Anonymizer, state: Dict) -> None:
     # All fields decoded and validated before any mutation: a malformed
     # document can never leave the anonymizer half-restored.
     ip_map = anonymizer.ip_map
-    ip_map._flips = flips
-    ip_map.invalidate_cache()  # the trie was replaced wholesale
+    ip_map.install_flips(flips)
     ip_map._rng.setstate(rng_state)
     ip_map.collision_walks = collision_walks
     ip_map.addresses_mapped = addresses_mapped
     if ip6 is not None:
-        ip6_map._flips = ip6[0]
-        ip6_map.invalidate_cache()
+        ip6_map.install_flips(ip6[0])
         ip6_map._rng.setstate(ip6[1])
         ip6_map.collision_walks = ip6[2]
         ip6_map.addresses_mapped = ip6[3]
@@ -344,19 +342,17 @@ def apply_state_delta(anonymizer: Anonymizer, delta: Dict) -> None:
             "truncated or edited?".format(type(exc).__name__, exc)
         ) from exc
     ip_map = anonymizer.ip_map
-    ip_map._flips.update(flips)
     # Deltas only ever append nodes the journaling session created, but a
     # replayed key could in principle collide with a locally-created node
-    # (pre-freeze RNG draws are position-dependent); drop the raw-map memo
-    # so replay can never serve a mapping computed from stale flips.
-    ip_map.invalidate_cache()
+    # (pre-freeze RNG draws are position-dependent); installing drops every
+    # memo so replay can never serve a mapping computed from stale flips.
+    ip_map.install_flips(flips, merge=True)
     if rng_state is not None:
         ip_map._rng.setstate(rng_state)
     ip_map.collision_walks = collision_walks
     ip_map.addresses_mapped = addresses_mapped
     if ip6 is not None:
-        ip6_map._flips.update(ip6[0])
-        ip6_map.invalidate_cache()
+        ip6_map.install_flips(ip6[0], merge=True)
         if ip6[1] is not None:
             ip6_map._rng.setstate(ip6[1])
         ip6_map.collision_walks = ip6[2]

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.core.comments import CommentStripper
-from repro.core.line import SegmentedLine
+from repro.core.line import Segment, SegmentedLine
 
 
 class TestCommentStripper:
@@ -122,3 +122,53 @@ class TestSegmentedLine:
         line = SegmentedLine("")
         line.map_live_tokens(str.upper)
         assert line.render() == ""
+
+
+class TestApplyRuleSegments:
+    """``apply_rule`` keeps the segment list and objects unless a match
+    is rewritten, and only rebuilds the segments that changed."""
+
+    def _line(self):
+        line = SegmentedLine("router bgp 1111")
+        line.apply_rule(re.compile(r"bgp"), lambda m: [("bgp", True)])
+        return line  # live "router ", frozen "bgp", live " 1111"
+
+    def test_no_match_keeps_segments(self):
+        line = self._line()
+        segments, objects = line.segments, list(line.segments)
+        assert line.apply_rule(re.compile(r"neighbor"), lambda m: [("x", True)]) == 0
+        assert line.segments is segments
+        assert all(a is b for a, b in zip(line.segments, objects))
+        assert line.render() == "router bgp 1111"
+
+    def test_every_match_declined_keeps_segments(self):
+        line = self._line()
+        segments, objects = line.segments, list(line.segments)
+        seen = []
+        hits = line.apply_rule(
+            re.compile(r"\w+"), lambda m: seen.append(m.group(0))
+        )
+        assert hits == 0 and seen == ["router", "1111"]
+        assert line.segments is segments
+        assert all(a is b for a, b in zip(line.segments, objects))
+        assert line.render() == "router bgp 1111"
+
+    def test_partial_rewrite_rebuilds_only_changed_segments(self):
+        line = SegmentedLine("value 42 and 43")
+        line.apply_rule(re.compile(r"and"), lambda m: [("and", True)])
+        head, frozen, tail = line.segments
+        hits = line.apply_rule(
+            re.compile(r"\d+"),
+            lambda m: [("XX", True)] if m.group(0) == "43" else None,
+        )
+        assert hits == 1
+        assert line.render() == "value 42 and XX"
+        assert [(s.text, s.frozen) for s in line.segments] == [
+            ("value 42 ", False), ("and", True), (" ", False), ("XX", True),
+        ]
+        # The segments without a rewritten match are the same objects.
+        assert line.segments[0] is head and line.segments[1] is frozen
+        assert all(segment is not tail for segment in line.segments)
+
+    def test_segment_has_slots(self):
+        assert not hasattr(Segment("x", False), "__dict__")

@@ -12,6 +12,7 @@ families.
 
 from __future__ import annotations
 
+import re
 import string
 
 import pytest
@@ -223,6 +224,73 @@ class TestLiteralOverlap:
     def test_disjoint_literals_do_not(self):
         assert not _literal_overlap("alpha", "zzz")
         assert not _literal_overlap("x", "x")  # identity excluded
+
+
+def _all_pairs_closure(rules):
+    """The group masks by the pairwise :func:`_literal_overlap` scan over
+    the digit-collapsed, lowered literal alternatives (the reference)."""
+    by_text = {}
+    for index, rule in enumerate(rules):
+        triggers = [rule.trigger] if isinstance(rule.trigger, str) else rule.trigger
+        for literal in triggers:
+            shape = re.sub("[0-9]+", "0", literal.lower())
+            by_text[shape] = by_text.get(shape, 0) | (1 << index)
+    ordered = sorted(by_text, key=len, reverse=True)
+    closed = [0]
+    for text in ordered:
+        mask = by_text[text]
+        for other in ordered:
+            if _literal_overlap(text, other):
+                mask |= by_text[other]
+        closed.append(mask)
+    return closed
+
+
+@st.composite
+def _literal_sets(draw):
+    """Trigger literals over a tiny alphabet (so prefixes, seams and
+    containment are common), plus slices of earlier literals and
+    digit-run variants that collapse to one shape."""
+    words = st.text(alphabet="ab c-19", min_size=1, max_size=7)
+    literals = draw(st.lists(words, min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 6))):
+        source = draw(st.sampled_from(literals))
+        start = draw(st.integers(0, len(source) - 1))
+        end = draw(st.integers(start + 1, len(source)))
+        literals.append(source[start:end])
+    if draw(st.booleans()):
+        literals.append(re.sub("1", "19", draw(st.sampled_from(literals))))
+    return literals
+
+
+class TestIndexedOverlapClosure:
+    @settings(max_examples=200, deadline=None)
+    @given(literals=_literal_sets(), grouping=st.integers(1, 3))
+    def test_equals_all_pairs_closure(self, literals, grouping):
+        # Rules carry one literal or a tuple of a few, as real rules do.
+        rules = [
+            Rule(
+                "T{}".format(index), "t", "t", "", lambda l, c: 0,
+                trigger=(
+                    literals[start]
+                    if grouping == 1
+                    else tuple(literals[start : start + grouping])
+                ),
+            )
+            for index, start in enumerate(range(0, len(literals), grouping))
+        ]
+        dispatch = CompiledDispatch(rules)
+        assert dispatch._group_masks == _all_pairs_closure(rules)
+
+    def test_builtin_rule_sets(self, anonymizer):
+        for dispatch in (anonymizer._dispatch_ios, anonymizer._dispatch_junos):
+            literal_rules = [
+                rule for rule in dispatch.rules
+                if isinstance(rule.trigger, (str, tuple, list, frozenset, set))
+            ]
+            assert CompiledDispatch(literal_rules)._group_masks == (
+                _all_pairs_closure(literal_rules)
+            )
 
 
 class TestPrefilterFlag:

@@ -475,3 +475,134 @@ class TestSnapshotTransports:
                 chunks = _chunk_names(list(names), jobs, chunk_files)
                 flat = [name for chunk in chunks for name in chunk]
                 assert flat == names
+
+
+class TestWorkerAdoption:
+    """What each transport's pool initializer installs as the worker's
+    anonymizer (run in-process: the initializer is the whole story)."""
+
+    @pytest.fixture
+    def frozen_parent(self, network_configs):
+        parent = Anonymizer(
+            AnonymizerConfig(salt=b"adopt", fault_plan="rule:R22:1")
+        )
+        parent.freeze_mappings(dict(network_configs))
+        # A rewrite in the parent advances its fault plan's hit counters.
+        name = sorted(network_configs)[0]
+        parent.anonymize_file(network_configs[name], source=name)
+        return parent
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Spy on Anonymizer construction and snapshot capture, and keep
+        the worker globals this process sets from leaking out."""
+        from repro.core import parallel
+
+        calls = {"init": 0, "capture": 0}
+        original_init = Anonymizer.__init__
+        original_capture = parallel.FrozenSnapshot.capture.__func__
+
+        def counting_init(self, *args, **kwargs):
+            calls["init"] += 1
+            original_init(self, *args, **kwargs)
+
+        def counting_capture(cls, anonymizer):
+            calls["capture"] += 1
+            return original_capture(cls, anonymizer)
+
+        monkeypatch.setattr(Anonymizer, "__init__", counting_init)
+        monkeypatch.setattr(
+            parallel.FrozenSnapshot, "capture", classmethod(counting_capture)
+        )
+        monkeypatch.setattr(parallel, "_WORKER_ANONYMIZER", None)
+        monkeypatch.setattr(parallel, "_IN_WORKER", False)
+        # The in-process shm attach must not unregister the segment from
+        # this process's resource tracker (it owns the segment here).
+        monkeypatch.setattr(parallel, "_untrack_shm", lambda name: None)
+        return calls
+
+    def test_fork_adopts_parent_anonymizer(self, frozen_parent, counted):
+        from repro.core import parallel
+
+        parent_plan = frozen_parent.fault_plan
+        assert parent_plan._rule_hits  # the parent's plan has counted hits
+        with parallel._SnapshotPools(frozen_parent, "fork"):
+            parallel._init_worker_fork()  # what each forked child runs
+        assert parallel._WORKER_ANONYMIZER is frozen_parent
+        assert counted == {"init": 0, "capture": 0}
+        # The worker's fault plan is a fresh one: no rewrite has run on it.
+        worker_plan = parallel._WORKER_ANONYMIZER.fault_plan
+        assert worker_plan is not parent_plan
+        assert worker_plan._rule_hits == {}
+        assert parallel._FORK_ANONYMIZER is None  # unpublished on exit
+
+    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    def test_spawn_safe_transports_restore(
+        self, frozen_parent, counted, transport
+    ):
+        from repro.core import parallel
+
+        with parallel._SnapshotPools(frozen_parent, transport) as pools:
+            if transport == "shm":
+                parallel._init_worker_shm(pools._shm.name, pools._payload_size)
+            else:
+                parallel._init_worker(pools.snapshot)
+        worker = parallel._WORKER_ANONYMIZER
+        assert worker is not frozen_parent
+        assert counted == {"init": 1, "capture": 1}
+        assert worker.ip_map._flips == frozen_parent.ip_map._flips
+        assert worker.frozen
+        assert worker.fault_plan._rule_hits == {}
+
+
+class TestPoolBreakDuringSubmission:
+    def test_unsubmitted_chunks_join_the_retry(
+        self, network_configs, sequential_run, monkeypatch
+    ):
+        # A worker that dies on its first task can break the pool while
+        # the parent is still submitting chunks: submit() then raises.
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.core import parallel
+
+        class BreaksOnFirstTask:
+            def __init__(self):
+                self.submitted = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                if self.submitted > 1:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                future.set_exception(BrokenProcessPool("a worker died"))
+                return future
+
+        real_make_pool = parallel._SnapshotPools.make_pool
+        pools_made = []
+
+        def make_pool(pools, max_workers):
+            pools_made.append(max_workers)
+            if len(pools_made) == 1:
+                return BreaksOnFirstTask()
+            return real_make_pool(pools, max_workers)
+
+        monkeypatch.setattr(parallel._SnapshotPools, "make_pool", make_pool)
+        anonymizer = Anonymizer(salt=b"parallel-secret")
+        anonymizer.freeze_mappings(dict(network_configs))
+        outputs = anonymize_files(
+            anonymizer, dict(network_configs), jobs=2, chunk_files=1
+        )
+        _, expected = sequential_run
+        assert outputs == {
+            original: expected.configs[renamed]
+            for original, renamed in expected.name_map.items()
+        }
+        assert anonymizer.report.quarantined_files == {}
+        assert pools_made == [2, 1]  # the one respawn, for the retry
